@@ -179,7 +179,9 @@ def _preprocess_on_device(graph: EdgeArray, device: DeviceSpec,
     node_buf_full = memory.alloc("node_full", node_full.astype(INDEX_DTYPE))
 
     # Step 5 — mark backward arcs (higher → lower under the degree order).
-    degrees = np.diff(node_full).astype(np.int64)
+    # INDEX_DTYPE (degrees < arcs < 2^31) halves forward_mask's two per-arc
+    # degree gathers, which set the peak host memory of preprocessing.
+    degrees = np.diff(node_full).astype(INDEX_DTYPE)
     keep = forward_mask(first, second, degrees)
     timeline.add("mark backward",
                  thrustlike.stream_ms(device, packed.nbytes, 3.0))

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ReproError
+from repro.utils import boundary_mask
 
 
 @dataclass
@@ -74,12 +75,7 @@ def _unique_pairs(set_idx: np.ndarray, lines: np.ndarray):
                                              return_inverse=True)
         return len(uniq), first_pos, inverse
     order = np.lexsort((lines, set_idx))
-    s_sorted = set_idx[order]
-    l_sorted = lines[order]
-    new_group = np.empty(len(order), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = ((s_sorted[1:] != s_sorted[:-1]) |
-                     (l_sorted[1:] != l_sorted[:-1]))
+    new_group = boundary_mask(set_idx[order], lines[order])
     group_id = np.cumsum(new_group) - 1
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = group_id

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils import boundary_mask, sorted_unique
+
 
 @dataclass(frozen=True)
 class CoalescedBatch:
@@ -69,15 +71,13 @@ def coalesce(warp_ids: np.ndarray, byte_addrs: np.ndarray,
     w = warp_ids.astype(np.int64)
     span = int(granules.max()) + 1
     if span > 0 and span < (1 << 62) // max(int(w.max()) + 1, 1):
-        uniq = np.unique(w * span + granules)
+        uniq = sorted_unique(w * span + granules)
         out_warps = uniq // span
         out_lines = (uniq % span) * granule_bytes
     else:
         order = np.lexsort((granules, w))
         ws, gs = w[order], granules[order]
-        first = np.empty(len(order), dtype=bool)
-        first[0] = True
-        first[1:] = (ws[1:] != ws[:-1]) | (gs[1:] != gs[:-1])
+        first = boundary_mask(ws, gs)
         out_warps = ws[first]
         out_lines = gs[first] * granule_bytes
     return CoalescedBatch(out_warps, out_lines, lane_requests=len(warp_ids))

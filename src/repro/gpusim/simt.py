@@ -34,18 +34,10 @@ from repro.gpusim.coalesce import coalesce
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.hostprof import current_host_profiler
 from repro.gpusim.memory import DeviceBuffer
+from repro.utils import boundary_mask
 
 
 _INT32_MAX = int(np.iinfo(np.int32).max)
-
-
-def _boundary_mask(sorted_arr: np.ndarray) -> np.ndarray:
-    """Mask selecting the first element of each run in a sorted array
-    (``np.unique`` of a sorted input, without the sort or the copy)."""
-    mask = np.empty(len(sorted_arr), dtype=bool)
-    mask[0] = True
-    np.not_equal(sorted_arr[1:], sorted_arr[:-1], out=mask[1:])
-    return mask
 
 
 @dataclass(frozen=True)
@@ -322,7 +314,7 @@ class SimtEngine:
 
         Byte-identical counters and cache-state evolution, a fraction of
         the host cost: coalescing, L1 set mapping and L2 probing collapse
-        into packed-key ``np.unique`` calls (no per-request index/inverse
+        into packed-key sorts with run-boundary passes (no index/inverse
         reconstruction — the engine only needs hit *counts* and the
         missing lines), with no intermediate batch objects.  Because
         every stage is order-independent over the request multiset, the
@@ -386,10 +378,10 @@ class SimtEngine:
                 # width — one downcast pass buys int32 sorting.
                 key = key.astype(np.int32)
             key.sort()
-            pu = key[_boundary_mask(key)] >> self._warp_bits
+            pu = key[boundary_mask(key)] >> self._warp_bits
             n_trans = len(pu)
             rep.transactions += n_trans
-            upair = pu[_boundary_mask(pu)]
+            upair = pu[boundary_mask(pu)]
             u_line = upair >> self._sm_bits
             n_uniq = len(u_line)
             l1 = self.l1
@@ -408,7 +400,7 @@ class SimtEngine:
                 # L2 on the missing lines; distinct SMs missing one
                 # line fill it once (the extras count as hits).
                 ml = u_line[~hit]
-                uml = ml[_boundary_mask(ml)]
+                uml = ml[boundary_mask(ml)]
                 n_uniq2 = len(uml)
                 l2 = self.l2
                 l2_set = (uml & (l2.sets - 1)
@@ -437,7 +429,7 @@ class SimtEngine:
                               < _INT32_MAX):
                 key = key.astype(np.int32)
             key.sort()
-            su = key[_boundary_mask(key)] >> self._warp_bits
+            su = key[boundary_mask(key)] >> self._warp_bits
             n_trans = len(su)
             rep.transactions += n_trans
             # Sector → L2 line (sorted stays sorted); distinct sectors
@@ -447,7 +439,7 @@ class SimtEngine:
                 l2_line = su >> (self._line_shift - self._sector_shift)
             else:
                 l2_line = su * sb // self.device.line_bytes
-            ul = l2_line[_boundary_mask(l2_line)]
+            ul = l2_line[boundary_mask(l2_line)]
             n_uniq2 = len(ul)
             l2 = self.l2
             l2_set = (ul & (l2.sets - 1)
@@ -510,6 +502,36 @@ class SimtEngine:
         self.report.l2_bytes += len(line_addrs) * fill_bytes
         self.report.dram_bytes += n_miss * fill_bytes
 
+    def _warp_element_keys(self, buf: DeviceBuffer, indices: np.ndarray,
+                           thread_ids: np.ndarray) -> tuple[np.ndarray, int]:
+        """Unsorted packed ``(warp, element)`` keys of a lane batch.
+
+        The low ``bits`` bits hold the element granule ``address //
+        itemsize`` (``device_addr // itemsize + index``, exactly), the
+        warp id sits above them.  Returns ``(keys, bits)``; the keys
+        are a fresh int64 array the caller may sort in place.
+        """
+        base = buf.device_addr // buf.itemsize
+        bits = (base + len(buf.data)).bit_length()
+        key = np.asarray(thread_ids, dtype=np.int64) // self.warp_size
+        key <<= bits
+        key += indices.astype(np.int64, copy=False)
+        key += base
+        return key, bits
+
+    def _count_sectors(self, buf: DeviceBuffer, keys: np.ndarray,
+                       bits: int) -> int:
+        """Distinct ``(warp, sector)`` pairs among sorted packed keys
+        from :meth:`_warp_element_keys`.
+
+        Within a warp the sector is non-decreasing in the element, so
+        runs of equal ``(warp, sector)`` stay contiguous in key order.
+        """
+        addrs = ((keys & ((1 << bits) - 1)) * buf.itemsize
+                 + buf.device_addr % buf.itemsize)
+        sectors = addrs // self.device.sector_bytes
+        return int(np.count_nonzero(boundary_mask(keys >> bits, sectors)))
+
     def write(self, buf: DeviceBuffer, indices: np.ndarray,
               values: np.ndarray, thread_ids: np.ndarray) -> None:
         """Lane-level scatter; write traffic counts as DRAM bytes
@@ -531,11 +553,11 @@ class SimtEngine:
                     f"out-of-bounds write to {buf.name!r}: index range "
                     f"[{lo}, {hi}] outside [0, {len(buf.data)})")
         buf.data[indices] = values
-        addrs = buf.addresses(indices)
-        warp_ids = np.asarray(thread_ids) // self.warp_size
-        batch = coalesce(warp_ids, addrs, self.device.sector_bytes)
-        self.report.transactions += batch.transactions
-        self.report.dram_bytes += batch.transactions * self.device.sector_bytes
+        key, bits = self._warp_element_keys(buf, indices, thread_ids)
+        key.sort()
+        n_trans = self._count_sectors(buf, key, bits)
+        self.report.transactions += n_trans
+        self.report.dram_bytes += n_trans * self.device.sector_bytes
         if prof is not None:
             prof.add("cache-model", perf_counter() - t0)
 
@@ -565,15 +587,17 @@ class SimtEngine:
         prof = self.host_profiler
         t0 = perf_counter() if prof is not None else 0.0
         np.add.at(buf.data, indices, values)
-        addrs = buf.addresses(indices)
-        warp_ids = np.asarray(thread_ids) // self.warp_size
         # Colliding lanes serialize: transactions at address (not line)
-        # granularity within the warp, sectors toward L2.
-        batch = coalesce(warp_ids, addrs, buf.itemsize)
-        sectors = coalesce(warp_ids, addrs, self.device.sector_bytes)
-        self.report.transactions += batch.transactions
-        self.report.l2_bytes += 2 * sectors.transactions * self.device.sector_bytes
-        self.report.dram_bytes += sectors.transactions * self.device.sector_bytes
+        # granularity within the warp, sectors toward L2.  Both counts
+        # come from one sort of the packed (warp, element) keys.
+        key, bits = self._warp_element_keys(buf, indices, thread_ids)
+        key.sort()
+        elems = key[boundary_mask(key)]
+        n_sectors = self._count_sectors(buf, elems, bits)
+        sb = self.device.sector_bytes
+        self.report.transactions += len(elems)
+        self.report.l2_bytes += 2 * n_sectors * sb
+        self.report.dram_bytes += n_sectors * sb
         if prof is not None:
             prof.add("cache-model", perf_counter() - t0)
 
@@ -597,8 +621,7 @@ class SimtEngine:
         w = np.asarray(active_thread_ids) // self.warp_size
         if len(w) > 1 and np.any(w[1:] < w[:-1]):
             w = np.sort(w)
-        # w is now non-decreasing: run boundaries replace np.unique.
-        starts = np.flatnonzero(np.concatenate(([True], w[1:] != w[:-1])))
+        starts = np.flatnonzero(boundary_mask(w))
         warp_ids = w[starts]
         lane_counts = np.diff(np.concatenate((starts, [len(w)])))
         n_warps = len(warp_ids)

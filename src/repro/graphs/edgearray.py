@@ -27,7 +27,35 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.types import VERTEX_DTYPE, pack_edges, unpack_edges
-from repro.utils import as_int_array, rng_from
+from repro.utils import as_int_array, rng_from, sorted_unique
+
+_VERTEX_MAX = int(np.iinfo(VERTEX_DTYPE).max)
+
+
+def _vertex_ids(a) -> tuple[np.ndarray, int]:
+    """Check one endpoint array of raw input and narrow it to int32.
+
+    Returns ``(ids, largest id)``, the largest id being -1 for an empty
+    array.  The range checks run before the cast, which would wrap an
+    id >= 2^31 silently.
+    """
+    arr = np.asarray(a)
+    if arr.ndim != 1:
+        raise GraphFormatError(
+            f"expected a 1-D endpoint array, got shape {arr.shape}")
+    if arr.size == 0:
+        return np.empty(0, VERTEX_DTYPE), -1
+    if arr.dtype.kind not in "iu":
+        raise GraphFormatError(
+            f"vertex ids must be integers, got dtype {arr.dtype}")
+    lo, hi = int(arr.min()), int(arr.max())
+    if lo < 0:
+        raise GraphFormatError(f"negative vertex id {lo}")
+    if hi > _VERTEX_MAX:
+        raise GraphFormatError(
+            f"vertex id {hi} does not fit the int32 vertex type "
+            f"(max {_VERTEX_MAX})")
+    return as_int_array(arr, VERTEX_DTYPE), hi
 
 
 class EdgeArray:
@@ -73,20 +101,29 @@ class EdgeArray:
 
         Self-loops and duplicate edges (in either orientation) are removed,
         so any raw edge list becomes a valid edge array.
+
+        Raises
+        ------
+        GraphFormatError
+            If an id is not an integer, is negative or does not fit the
+            int32 vertex type, or if ``num_nodes`` does not exceed the
+            largest id.
         """
-        u = as_int_array(u, VERTEX_DTYPE)
-        v = as_int_array(v, VERTEX_DTYPE)
+        u, top_u = _vertex_ids(u)
+        v, top_v = _vertex_ids(v)
         if u.shape != v.shape:
             raise GraphFormatError("endpoint arrays differ in length")
+        if num_nodes is not None and num_nodes <= max(top_u, top_v):
+            raise GraphFormatError(
+                f"num_nodes={num_nodes} does not exceed the largest vertex "
+                f"id {max(top_u, top_v)}")
         # Canonicalize each edge as (min, max), drop loops, dedupe.
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
         keep = lo != hi
         lo, hi = lo[keep], hi[keep]
         if len(lo):
-            packed = pack_edges(lo, hi)
-            packed = np.unique(packed)
-            lo, hi = unpack_edges(packed)
+            lo, hi = unpack_edges(sorted_unique(pack_edges(lo, hi)))
         first = np.concatenate([lo, hi])
         second = np.concatenate([hi, lo])
         return cls(first, second, num_nodes=num_nodes, check=False)
@@ -102,7 +139,7 @@ class EdgeArray:
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], num_nodes: int | None = None) -> "EdgeArray":
         """Build from an iterable of undirected ``(u, v)`` pairs (convenience)."""
-        pairs = np.asarray(list(edges), dtype=VERTEX_DTYPE)
+        pairs = np.asarray(list(edges))  # from_undirected range-checks
         if pairs.size == 0:
             return cls(np.empty(0, VERTEX_DTYPE), np.empty(0, VERTEX_DTYPE),
                        num_nodes=num_nodes or 0, check=False)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.graphs.edgearray import EdgeArray
-from repro.utils import rng_from
+from repro.utils import rng_from, sorted_unique
 
 
 def barabasi_albert(n: int, m: int, seed=None) -> EdgeArray:
@@ -55,10 +55,10 @@ def barabasi_albert(n: int, m: int, seed=None) -> EdgeArray:
 
     fill = m
     for v in range(m + 1, n):
-        targets = np.unique(pool[rng.integers(0, pool_size, size=m)])
+        targets = sorted_unique(pool[rng.integers(0, pool_size, size=m)])
         while len(targets) < m:
             extra = pool[rng.integers(0, pool_size, size=m - len(targets))]
-            targets = np.unique(np.concatenate([targets, extra]))
+            targets = sorted_unique(np.concatenate([targets, extra]))
         src[fill:fill + m] = v
         dst[fill:fill + m] = targets
         pool[pool_size:pool_size + m] = v

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.graphs.edgearray import EdgeArray
-from repro.utils import rng_from
+from repro.utils import rng_from, sorted_unique
 
 
 def clique_cover(n: int,
@@ -67,7 +67,7 @@ def clique_cover(n: int,
     # size class (groups of equal size share one triu index template).
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     us, vs = [], []
-    for size in np.unique(sizes):
+    for size in sorted_unique(sizes):
         group_idx = np.flatnonzero(sizes == size)
         if size < 2 or len(group_idx) == 0:
             continue

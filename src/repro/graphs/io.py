@@ -35,7 +35,11 @@ def read_edge_list(path: str | os.PathLike, num_nodes: int | None = None) -> Edg
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=".*no data.*",
                                 category=UserWarning)
-        pairs = np.loadtxt(path, comments="#", dtype=np.int64, ndmin=2)
+        try:
+            pairs = np.loadtxt(path, comments="#", dtype=np.int64, ndmin=2)
+        except ValueError as exc:
+            # A non-integer token, or rows whose column count changes.
+            raise GraphFormatError(f"malformed edge list {path}: {exc}") from exc
     if pairs.size == 0:
         return EdgeArray.empty(num_nodes or 0)
     if pairs.shape[1] != 2:

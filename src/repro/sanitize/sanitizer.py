@@ -53,6 +53,7 @@ import numpy as np
 from repro.errors import (InitcheckError, KernelFault, MemcheckError,
                           RacecheckError, ReproError, SanitizerError)
 from repro.gpusim.memory import DeviceBuffer
+from repro.utils import sorted_unique
 
 #: Valid sanitize modes of :class:`GpuOptions.sanitize` ("off" disables
 #: the layer entirely — no Sanitizer is constructed).
@@ -335,15 +336,15 @@ class Sanitizer:
         w_warp = np.concatenate([w[1] for w in window.writes])
         # Pack (element, warp) so one sort finds both duplicate levels.
         key = (w_idx << _WARP_BITS) | w_warp
-        order = np.argsort(key, kind="stable")
-        uniq = key[order][np.concatenate(
-            ([True], np.diff(key[order]) != 0))] if len(key) else key
+        uniq = sorted_unique(key)
         elems = uniq >> _WARP_BITS
         if len(elems) > 1:
             dup = np.flatnonzero(elems[1:] == elems[:-1])
             if len(dup):
                 e = int(elems[dup[0]])
-                warps = np.unique(uniq[(elems == e)] & ((1 << _WARP_BITS) - 1))
+                # Already sorted and distinct: ``uniq`` holds each
+                # (element, warp) pair once, in warp order per element.
+                warps = uniq[elems == e] & ((1 << _WARP_BITS) - 1)
                 pos = int(np.flatnonzero(w_idx == e)[0])
                 self._emit(
                     "racecheck", "write-write-race", shadow,

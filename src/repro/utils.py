@@ -42,6 +42,34 @@ def as_int_array(a, dtype) -> np.ndarray:
     return arr
 
 
+def boundary_mask(sorted_arr: np.ndarray, *more: np.ndarray) -> np.ndarray:
+    """Mask selecting the first element of each run of equal values.
+
+    The arrays are co-sorted keys of one sequence (``more`` breaks ties
+    in lexicographic order, as after :func:`numpy.lexsort`); a run ends
+    where any of them changes.  This is the one dedupe idiom of the
+    simulator's hot paths: see :func:`sorted_unique`.
+    """
+    mask = np.empty(len(sorted_arr), dtype=bool)
+    mask[:1] = True
+    np.not_equal(sorted_arr[1:], sorted_arr[:-1], out=mask[1:])
+    for key in more:
+        mask[1:] |= key[1:] != key[:-1]
+    return mask
+
+
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` for a 1-D array, as a sort plus a run mask.
+
+    NumPy >= 2.3 answers a plain ``np.unique`` call from a hash table
+    and then sorts the result anyway.  On int64 keys that measured 14x
+    slower than this at 15k elements and 60x slower at 1.6M (NumPy
+    2.4.6, 2-vCPU Xeon KVM guest).
+    """
+    s = np.sort(a)
+    return s[boundary_mask(s)]
+
+
 def human_bytes(n: int) -> str:
     """Format a byte count for log/table output (e.g. ``1.5 GiB``)."""
     value = float(n)

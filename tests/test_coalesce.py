@@ -1,6 +1,7 @@
 """Unit tests for per-warp transaction coalescing."""
 
 import numpy as np
+import pytest
 
 from repro.gpusim.coalesce import coalesce
 
@@ -77,3 +78,19 @@ class TestCoalesce:
         small_pairs = sorted(zip(small.warp_ids.tolist(),
                                  small.line_addrs.tolist()))
         assert big_pairs == small_pairs
+
+    @pytest.mark.parametrize("base", [0, (1 << 56) - 32],
+                             ids=["packed-key", "lexsort-fallback"])
+    def test_output_equals_sorted_distinct_pairs(self, base):
+        """Both branches return exactly the distinct (warp, granule)
+        pairs in (warp, granule) order, collisions and all."""
+        rng = np.random.default_rng(5)
+        warps = rng.integers(0, 40, size=300).astype(np.int64)
+        granules = base + rng.integers(0, 25, size=300).astype(np.int64)
+        addrs = granules * 128 + rng.integers(0, 128, size=300)
+        batch = coalesce(warps, addrs, 128)
+        want = sorted(set(zip(warps.tolist(), granules.tolist())))
+        assert batch.warp_ids.dtype == batch.line_addrs.dtype == np.int64
+        assert batch.warp_ids.tolist() == [w for w, _ in want]
+        assert batch.line_addrs.tolist() == [g * 128 for _, g in want]
+        assert batch.lane_requests == 300

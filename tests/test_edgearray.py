@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphFormatError
 from repro.graphs.edgearray import EdgeArray
@@ -50,6 +51,57 @@ class TestConstruction:
         g = EdgeArray.empty(7)
         assert g.num_nodes == 7
         assert g.num_arcs == 0
+
+
+class TestUndirectedInputChecks:
+    """``from_undirected`` is the ingestion boundary: malformed ids raise
+    :class:`GraphFormatError` instead of building a broken graph."""
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(GraphFormatError, match="negative vertex id -1"):
+            EdgeArray.from_undirected([0, 1], [-1, 2])
+
+    @pytest.mark.parametrize("ids", [[0, 2**31], np.array([0, 2**31])],
+                             ids=["list", "int64-array"])
+    def test_id_beyond_int32_rejected(self, ids):
+        with pytest.raises(GraphFormatError, match="int32"):
+            EdgeArray.from_undirected(ids, [1, 2])
+
+    def test_from_edges_id_beyond_int32_rejected(self):
+        with pytest.raises(GraphFormatError, match="int32"):
+            EdgeArray.from_edges([(0, 1), (1, 2**31)])
+
+    @pytest.mark.parametrize("num_nodes", [9, 5])
+    def test_num_nodes_not_above_largest_id_rejected(self, num_nodes):
+        with pytest.raises(GraphFormatError, match="largest vertex id 9"):
+            EdgeArray.from_undirected([0], [9], num_nodes=num_nodes)
+
+    def test_non_integer_ids_rejected(self):
+        with pytest.raises(GraphFormatError, match="integers"):
+            EdgeArray.from_undirected([0.5], [1.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2**33, 2**33) | st.integers(-2, 40),
+                    max_size=12),
+           st.lists(st.integers(-2**33, 2**33) | st.integers(-2, 40),
+                    max_size=12),
+           st.none() | st.integers(-3, 2**33))
+    def test_fuzz_typed_error_or_valid_graph(self, u, v, num_nodes):
+        """Any input gives a GraphFormatError or a valid edge array of
+        exactly the input's loop-free edge set, never a raw exception."""
+        try:
+            g = EdgeArray.from_undirected(u, v, num_nodes=num_nodes)
+        except GraphFormatError:
+            return
+        g.validate()
+        assert len(u) == len(v)
+        assert all(0 <= x <= 2**31 - 1 for x in u + v)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(u, v) if a != b}
+        got = {(a, b) for a, b in zip(g.first.tolist(), g.second.tolist())
+               if a < b}
+        assert got == edges
+        if num_nodes is not None:
+            assert g.num_nodes == num_nodes > max(u + v, default=-1)
 
 
 class TestLayouts:

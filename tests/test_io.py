@@ -40,6 +40,18 @@ class TestEdgeListText:
         with pytest.raises(GraphFormatError):
             io.read_edge_list(path)
 
+    @pytest.mark.parametrize("text, why", [
+        ("0 1\n1 x\n", "'x'"),
+        ("0 1\n0 1.5\n", "'1.5'"),
+        ("0 1\n1 2 3\n", "number of columns changed"),
+    ], ids=["word-token", "float-token", "ragged-rows"])
+    def test_malformed_file_names_the_file(self, tmp_path, text, why):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError, match="bad.txt") as info:
+            io.read_edge_list(path)
+        assert why in str(info.value)
+
 
 class TestBinary:
     def test_roundtrip(self, small_ba, tmp_path):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.utils import as_int_array, env_scale, human_bytes, human_ms, rng_from
+from repro.utils import (as_int_array, boundary_mask, env_scale, human_bytes,
+                         human_ms, rng_from, sorted_unique)
 
 
 class TestRngFrom:
@@ -63,3 +64,56 @@ class TestFormatting:
         assert human_ms(5) == "5.0 ms"
         assert human_ms(500) == "500 ms"
         assert human_ms(12_000) == "12.0 s"
+
+
+class TestSortedUnique:
+    """``sorted_unique`` is a drop-in for a plain ``np.unique``."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+    @pytest.mark.parametrize("values", [
+        [],
+        [7],
+        [5, 5, 5, 5],
+        [0, 1, 1, 2, 9, 9, 12],
+        [9, 3, 3, 0, 7, 0, 12, 9],
+    ], ids=["empty", "single", "all-duplicate", "already-sorted", "shuffled"])
+    def test_matches_np_unique(self, dtype, values):
+        a = np.array(values, dtype=dtype)
+        got = sorted_unique(a)
+        want = np.unique(a)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+    def test_matches_np_unique_random(self, dtype):
+        rng = np.random.default_rng(3)
+        a = rng.integers(0, 500, 5000).astype(dtype)
+        assert np.array_equal(sorted_unique(a), np.unique(a))
+
+    def test_extreme_values(self):
+        a = np.array([2**64 - 1, 0, 2**63, 2**64 - 1], dtype=np.uint64)
+        assert np.array_equal(sorted_unique(a), np.unique(a))
+        b = np.array([-(2**63), 2**63 - 1, -(2**63)], dtype=np.int64)
+        assert np.array_equal(sorted_unique(b), np.unique(b))
+
+    def test_input_untouched(self):
+        a = np.array([3, 1, 3], dtype=np.int64)
+        sorted_unique(a)
+        assert a.tolist() == [3, 1, 3]
+
+
+class TestBoundaryMask:
+    def test_empty(self):
+        assert boundary_mask(np.zeros(0, np.int64)).tolist() == []
+
+    def test_single_key(self):
+        a = np.array([1, 1, 2, 5, 5, 5])
+        assert boundary_mask(a).tolist() == [True, False, True, True,
+                                             False, False]
+
+    def test_co_sorted_keys_split_runs(self):
+        """A run ends where *any* key changes (lexsort order)."""
+        first = np.array([0, 0, 0, 1, 1])
+        second = np.array([4, 4, 6, 6, 6])
+        assert boundary_mask(first, second).tolist() == [True, False, True,
+                                                         True, False]
