@@ -17,6 +17,12 @@ exactly that by combining the vertex-partition scheme of
    paper hoped splitting would buy);
 5. the exact total is ``Σ w(Q) · count(Q)``.
 
+Only step 3 depends on the GPU count, so the code splits there:
+:func:`partition_run` does steps 1, 2 and 4 (every job's own run), and
+:meth:`PartitionRun.assemble` does step 3 and totals the devices' busy
+times.  A caller that needs the same split at several gang sizes (the
+serving scheduler, before and after a device fails) runs the jobs once.
+
 Unlike Section III-E's scheme there is no serial preprocessing bottleneck
 — every job preprocesses on its own device — so Amdahl's cap disappears,
 at the price of redundant arc-visits across overlapping subsets (the
@@ -25,7 +31,7 @@ trade-off the paper was unsure about; the result object reports it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from math import comb
 
@@ -126,23 +132,56 @@ class DistributedResult:
         return float(np.mean(self.per_device_ms)) / self.makespan_ms
 
 
-def distributed_count_triangles(graph: EdgeArray,
-                                device: DeviceSpec = TESLA_C2050,
-                                num_gpus: int = 4,
-                                num_parts: int = 6,
-                                options: GpuOptions = GpuOptions(),
-                                seed: int = 0) -> DistributedResult:
-    """Count triangles exactly with independent per-device subgraph jobs.
+@dataclass(frozen=True)
+class PartitionRun:
+    """The gang-size-independent part of a distributed run.
 
-    Parameters
-    ----------
-    num_parts : int
-        Vertex buckets p; jobs are the ≤3-subsets with non-zero weight,
-        so more parts mean smaller subgraphs but more redundancy
-        (O(p³) jobs).
+    Partitioning, the subset jobs and each job's own pipeline run depend
+    on the graph, device, part count, options and seed — not on how many
+    GPUs share the jobs.  ``jobs`` carry their counts and simulated
+    times with ``device_index`` unset; :meth:`assemble` places them.
+    Nothing here is mutated after construction, so one run may be
+    assembled at any number of gang sizes.
     """
-    if num_gpus < 1:
-        raise ReproError(f"need >= 1 GPU, got {num_gpus}")
+
+    num_parts: int
+    jobs: tuple[DistributedJob, ...]
+    partition_ms: float
+
+    def assemble(self, num_gpus: int) -> DistributedResult:
+        """LPT-place the jobs on ``num_gpus`` devices and total the result.
+
+        Devices run their jobs back to back in job order, so each
+        device's busy time is the in-order sum of its jobs' times.
+        Returns fresh job objects; ``self.jobs`` stay untouched.
+        """
+        assignment = lpt_assign([j.num_arcs for j in self.jobs], num_gpus)
+        jobs = [replace(job, device_index=dev)
+                for job, dev in zip(self.jobs, assignment)]
+        per_device_ms = [0.0] * num_gpus
+        total = 0
+        for job in jobs:
+            per_device_ms[job.device_index] += job.elapsed_ms
+            total += job.weight * job.count
+        return DistributedResult(triangles=total, num_parts=self.num_parts,
+                                 num_gpus=num_gpus, jobs=jobs,
+                                 makespan_ms=max(per_device_ms, default=0.0),
+                                 per_device_ms=per_device_ms,
+                                 partition_ms=self.partition_ms)
+
+
+def partition_run(graph: EdgeArray,
+                  device: DeviceSpec = TESLA_C2050,
+                  num_parts: int = 6,
+                  options: GpuOptions = GpuOptions(),
+                  seed: int = 0) -> PartitionRun:
+    """Partition the graph and count every subset job on its own device.
+
+    Raises
+    ------
+    OutOfDeviceMemoryError
+        If some subgraph does not fit ``device``.
+    """
     if num_parts < 1:
         raise ReproError(f"need >= 1 part, got {num_parts}")
 
@@ -153,41 +192,46 @@ def distributed_count_triangles(graph: EdgeArray,
     # Host-side partition pass: label both endpoints, one pass each.
     partition_ms = 2 * graph.num_arcs * XEON_X5650.ns_per_pass_element * 1e-6
 
-    # Build the job list (skip zero-weight subsets entirely).
+    # One job per subset with a non-zero weight, each run in a fresh
+    # device memory (devices share nothing).
     jobs: list[DistributedJob] = []
-    masks: dict[tuple[int, ...], np.ndarray] = {}
     for size in range(1, min(3, num_parts) + 1):
         weight = subset_weight(size, num_parts)
         if weight == 0:
             continue
         for parts in combinations(range(num_parts), size):
             mask = np.isin(pf, parts) & np.isin(ps, parts)
-            arcs = int(mask.sum())
-            masks[parts] = mask
+            sub = EdgeArray(graph.first[mask], graph.second[mask],
+                            num_nodes=graph.num_nodes, check=False)
+            run = gpu_count_triangles(sub, device=device,
+                                      memory=DeviceMemory(device),
+                                      options=options)
             jobs.append(DistributedJob(parts=parts, weight=weight,
-                                       num_arcs=arcs))
+                                       num_arcs=sub.num_arcs,
+                                       count=run.triangles,
+                                       elapsed_ms=run.total_ms))
+    return PartitionRun(num_parts=num_parts, jobs=tuple(jobs),
+                        partition_ms=partition_ms)
 
-    # LPT scheduling: biggest job to the least-loaded device.
-    for job, dev in zip(jobs, lpt_assign([j.num_arcs for j in jobs], num_gpus)):
-        job.device_index = dev  # provisional load, refined by real times
 
-    # Execute per device (independent memories; jobs run back to back).
-    per_device_ms = [0.0] * num_gpus
-    total = 0
-    for job in jobs:
-        sub = EdgeArray(graph.first[masks[job.parts]],
-                        graph.second[masks[job.parts]],
-                        num_nodes=graph.num_nodes, check=False)
-        run = gpu_count_triangles(sub, device=device,
-                                  memory=DeviceMemory(device),
-                                  options=options)
-        job.count = run.triangles
-        job.elapsed_ms = run.total_ms
-        per_device_ms[job.device_index] += run.total_ms
-        total += job.weight * run.triangles
+def distributed_count_triangles(graph: EdgeArray,
+                                device: DeviceSpec = TESLA_C2050,
+                                num_gpus: int = 4,
+                                num_parts: int = 6,
+                                options: GpuOptions = GpuOptions(),
+                                seed: int = 0) -> DistributedResult:
+    """Count triangles exactly with independent per-device subgraph jobs.
 
-    return DistributedResult(triangles=total, num_parts=num_parts,
-                             num_gpus=num_gpus, jobs=jobs,
-                             makespan_ms=max(per_device_ms, default=0.0),
-                             per_device_ms=per_device_ms,
-                             partition_ms=partition_ms)
+    One :func:`partition_run` assembled at ``num_gpus``.
+
+    Parameters
+    ----------
+    num_parts : int
+        Vertex buckets p; jobs are the ≤3-subsets with non-zero weight,
+        so more parts mean smaller subgraphs but more redundancy
+        (O(p³) jobs).
+    """
+    if num_gpus < 1:
+        raise ReproError(f"need >= 1 GPU, got {num_gpus}")
+    return partition_run(graph, device=device, num_parts=num_parts,
+                         options=options, seed=seed).assemble(num_gpus)

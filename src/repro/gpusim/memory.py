@@ -111,10 +111,9 @@ class DeviceMemory:
 
         ``data`` may be an ndarray (placed exactly like :meth:`alloc`) or
         an ``int`` byte count — a pure capacity *reservation* with an
-        empty backing array.  The reservation form is what admission
-        control uses to probe whether a job's working set fits without
-        exception-driven control flow and without materializing the
-        working set on the host; free the returned buffer to release it.
+        empty backing array, which probes whether a working set fits
+        without exception-driven control flow and without materializing
+        it on the host; free the returned buffer to release it.
         """
         if isinstance(data, (int, np.integer)):
             size = aligned_nbytes(data)

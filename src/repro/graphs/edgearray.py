@@ -70,14 +70,25 @@ class EdgeArray:
         computes exactly this on device with ``thrust::reduce`` /
         ``thrust::maximum`` in preprocessing step 2).
     check : bool
-        If true (default), validate the format contract eagerly.
+        If true (default), type- and range-check the raw ids and
+        validate the format contract eagerly; any violation raises
+        :class:`GraphFormatError`.  ``False`` trusts ids already known
+        to be valid (internal subgraphs, permutations).
     """
 
     __slots__ = ("first", "second", "_num_nodes")
 
     def __init__(self, first, second, num_nodes: int | None = None, check: bool = True):
-        self.first = as_int_array(first, VERTEX_DTYPE)
-        self.second = as_int_array(second, VERTEX_DTYPE)
+        if check:
+            # Range- and type-check the raw ids before the int32 cast,
+            # which would truncate floats and wrap ids >= 2^31.
+            self.first, _ = _vertex_ids(first)
+            self.second, _ = _vertex_ids(second)
+            if num_nodes is not None and num_nodes < 0:
+                raise GraphFormatError(f"num_nodes must be >= 0, got {num_nodes}")
+        else:
+            self.first = as_int_array(first, VERTEX_DTYPE)
+            self.second = as_int_array(second, VERTEX_DTYPE)
         if self.first.shape != self.second.shape:
             raise GraphFormatError(
                 f"endpoint arrays differ in length: {len(self.first)} vs {len(self.second)}"
@@ -131,7 +142,8 @@ class EdgeArray:
     @classmethod
     def from_aos(cls, interleaved, num_nodes: int | None = None, check: bool = True) -> "EdgeArray":
         """Build from the interleaved AoS layout ``[u0, v0, u1, v1, ...]``."""
-        flat = as_int_array(interleaved, VERTEX_DTYPE)
+        flat = (_vertex_ids(interleaved)[0] if check
+                else as_int_array(interleaved, VERTEX_DTYPE))
         if len(flat) % 2:
             raise GraphFormatError("AoS edge buffer has odd length")
         return cls(flat[0::2].copy(), flat[1::2].copy(), num_nodes=num_nodes, check=check)

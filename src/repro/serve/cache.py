@@ -116,12 +116,15 @@ class PreprocessCache:
         self.budget_bytes = int(budget_bytes)
         self._entries: OrderedDict[tuple, CacheEntry] = OrderedDict()
         self.stats = CacheStats()
+        self._bytes_used = 0
 
     # ------------------------------------------------------------------ #
 
     @property
     def bytes_used(self) -> int:
-        return sum(e.nbytes for e in self._entries.values())
+        """Resident bytes (a running total: admission reads it on every
+        probe)."""
+        return self._bytes_used
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -162,7 +165,7 @@ class PreprocessCache:
             self.stats.rejected += 1
             return []
         evicted: list[CacheEntry] = []
-        overflow = self.bytes_used + nbytes - self.budget_bytes
+        overflow = self._bytes_used + nbytes - self.budget_bytes
         if overflow > 0:
             # Pick victims among *unpinned* entries, LRU first.  If the
             # pinned residents alone leave no room, refuse the insert —
@@ -182,10 +185,12 @@ class PreprocessCache:
             for k in victims:
                 evicted.append(self._entries.pop(k))
                 self.stats.evictions += 1
+            self._bytes_used -= freed
         self._entries[key] = CacheEntry(
             key=key, nbytes=int(nbytes), triangles=int(triangles),
             hit_service_ms=float(hit_service_ms),
             inserted_ms=now_ms, last_used_ms=now_ms)
+        self._bytes_used += int(nbytes)
         self.stats.insertions += 1
         return evicted
 
@@ -212,10 +217,15 @@ class PreprocessCache:
 
     def invalidate(self, key: tuple) -> bool:
         """Drop one entry (e.g. the graph's owner updated it)."""
-        return self._entries.pop(key, None) is not None
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return False
+        self._bytes_used -= entry.nbytes
+        return True
 
     def clear(self) -> None:
         self._entries.clear()
+        self._bytes_used = 0
 
     def __repr__(self) -> str:
         return (f"PreprocessCache(entries={len(self)}, "

@@ -14,11 +14,11 @@ A job's *working set* is the peak device allocation its pipeline will
 make; :func:`estimate_working_set_bytes` mirrors the allocation sequence
 of :mod:`repro.core.preprocess` exactly (including the radix sort's
 double buffer and the Section III-D6 CPU-fallback halving).  Admission
-probes the target device with the non-raising
-:meth:`DeviceMemory.try_alloc` reservation — no exception-driven control
-flow — and a job that fits *no* device in the fleet is not failed but
-routed to the partitioned/distributed path, which splits the graph into
-subgraphs that do fit (the paper's Section VI direction).
+compares that estimate with the device's free bytes — arithmetic, no
+allocator and no exception-driven control flow — and a job that fits
+*no* device in the fleet is not failed but routed to the
+partitioned/distributed path, which splits the graph into subgraphs that
+do fit (the paper's Section VI direction).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.options import GpuOptions
 from repro.core.preprocess import SORT_TEMP_FACTOR
+from repro.errors import GraphFormatError
 from repro.graphs.edgearray import EdgeArray
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.memory import aligned_nbytes
@@ -176,6 +177,10 @@ class ServeJob:
     approx_method: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.graph, EdgeArray):
+            raise GraphFormatError(
+                f"job {self.job_id}: graph must be an EdgeArray, got "
+                f"{type(self.graph).__name__}")
         if not self.fingerprint:
             self.fingerprint = graph_fingerprint(self.graph)
         if not self.est_arcs:
@@ -218,15 +223,15 @@ class ServeJob:
 # ---------------------------------------------------------------------- #
 
 def fits_device(job: ServeJob, device: FleetDevice) -> bool:
-    """Probe whether the job's working set fits the device *right now*
-    (cache residents already charged) — no exceptions on the OOM path."""
-    est = estimate_working_set_bytes(job.graph, job.options, device.spec)
-    memory = device.job_memory()
-    probe = memory.try_alloc("admission probe", est)
-    if probe is None:
-        return False
-    memory.free(probe)
-    return True
+    """Whether the job's working set fits the device *right now* (cache
+    residents already charged).
+
+    The estimate is a sum of allocation-aligned terms, so comparing it
+    with the free bytes is exactly the test a reservation against a
+    fresh :meth:`~repro.serve.fleet.FleetDevice.job_memory` would make.
+    """
+    return (estimate_working_set_bytes(job.graph, job.options, device.spec)
+            <= device.free_bytes)
 
 
 def admissible_devices(job: ServeJob, fleet: Fleet,

@@ -30,10 +30,10 @@ optimization; every simulated number is what a fresh run would report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.distributed import distributed_count_triangles
+from repro.core.distributed import DistributedResult, PartitionRun, partition_run
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.errors import OutOfDeviceMemoryError, ReproError
 from repro.gpusim.hostprof import HostProfiler, host_profiling
@@ -65,6 +65,24 @@ class _GpuRunMemo:
     resident_nbytes: int         # what a cache entry of it occupies
     used_cpu_fallback: bool
     sanitizer_findings: int = 0  # nonzero only with options.sanitize on
+
+
+@dataclass
+class _DistRunMemo:
+    """Memoized fallback-ladder outcome of one (graph, options, device)
+    split: the succeeding rung's partition run (None: no rung fits),
+    assembled once per gang size seen."""
+
+    run: PartitionRun | None
+    by_gang: dict[int, DistributedResult] = field(default_factory=dict)
+
+    def result(self, num_gpus: int) -> DistributedResult | None:
+        if self.run is None:
+            return None
+        result = self.by_gang.get(num_gpus)
+        if result is None:
+            result = self.by_gang[num_gpus] = self.run.assemble(num_gpus)
+        return result
 
 
 class FleetScheduler:
@@ -111,7 +129,7 @@ class FleetScheduler:
         self.plane = plane
         self.tuned = tuned
         self._gpu_memo: dict[tuple, _GpuRunMemo] = {}
-        self._dist_memo: dict[tuple, object] = {}
+        self._dist_memo: dict[tuple, _DistRunMemo] = {}
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -394,23 +412,28 @@ class FleetScheduler:
             self.plane.on_distributed_complete(job, job.cache_key(),
                                                result.total_ms)
 
-    def _run_distributed(self, job: ServeJob, spec, num_gpus: int):
-        """Partitioned/distributed run with part-count escalation."""
+    def _run_distributed(self, job: ServeJob, spec,
+                         num_gpus: int) -> DistributedResult | None:
+        """Partitioned/distributed run with part-count escalation.
+
+        The ladder's outcome does not depend on the gang size — only the
+        LPT placement does — so it is memoized without it, and a split
+        seen before a device failure is re-assembled, not re-run, after.
+        """
         key = (job.fingerprint, job.options.cache_key(), spec.name,
-               spec.memory_bytes, num_gpus)
-        if key in self._dist_memo:
-            return self._dist_memo[key]
-        result = None
-        for parts in FALLBACK_PART_LADDER:
-            try:
-                result = distributed_count_triangles(
-                    job.graph, device=spec, num_gpus=num_gpus,
-                    num_parts=parts, options=job.options)
-                break
-            except OutOfDeviceMemoryError:
-                continue
-        self._dist_memo[key] = result
-        return result
+               spec.memory_bytes)
+        memo = self._dist_memo.get(key)
+        if memo is None:
+            run = None
+            for parts in FALLBACK_PART_LADDER:
+                try:
+                    run = partition_run(job.graph, device=spec,
+                                        num_parts=parts, options=job.options)
+                    break
+                except OutOfDeviceMemoryError:
+                    continue
+            memo = self._dist_memo[key] = _DistRunMemo(run)
+        return memo.result(num_gpus)
 
     # ------------------------------------------------------------------ #
     # faults

@@ -554,7 +554,7 @@ class TestSan203b:
         assert _rules(src) == []
 
     def test_try_alloc_early_return_not_a_leak(self):
-        # The queue.fits_device shape: try_alloc may return None, so
+        # The admission-probe shape: try_alloc may return None, so
         # returning early without freeing is not a definite leak.
         src = ("def fits(mem, n):\n"
                "    probe = mem.try_alloc(n)\n"

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.distributed import (distributed_count_triangles, lpt_assign,
-                                    subset_weight)
+                                    partition_run, subset_weight)
 from repro.cpu.matmul import matmul_count
 from repro.errors import OutOfDeviceMemoryError, ReproError
 from repro.graphs.edgearray import EdgeArray
 from repro.gpusim.device import GTX_980, TESLA_C2050
 from repro.gpusim.memory import DeviceMemory
+from repro.serve.scheduler import FALLBACK_PART_LADDER
 
 
 class TestSubsetWeight:
@@ -88,6 +89,49 @@ class TestDistributed:
     def test_redundancy_reported(self, small_ws):
         res = distributed_count_triangles(small_ws, num_gpus=2, num_parts=4)
         assert res.redundant_arc_work > small_ws.num_arcs
+
+
+def _job_fields(jobs):
+    return [(j.parts, j.weight, j.num_arcs, j.device_index, j.count,
+             j.elapsed_ms) for j in jobs]
+
+
+class TestPartitionRunSplit:
+    """``distributed_count_triangles`` is one gang-size-independent
+    partition run assembled at the gang size; the serving scheduler
+    relies on assembling one run at several sizes."""
+
+    @pytest.mark.parametrize("num_parts", FALLBACK_PART_LADDER)
+    def test_one_run_assembles_to_every_gang_size(self, k12, num_parts):
+        run = partition_run(k12, num_parts=num_parts)
+        memo = _job_fields(run.jobs)
+        for num_gpus in (1, 2, 3, 4):
+            want = distributed_count_triangles(k12, num_gpus=num_gpus,
+                                               num_parts=num_parts)
+            got = run.assemble(num_gpus)
+            assert got.triangles == want.triangles
+            assert got.per_device_ms == want.per_device_ms
+            assert got.makespan_ms == want.makespan_ms
+            assert got.partition_ms == want.partition_ms
+            assert (got.num_parts, got.num_gpus) == (num_parts, num_gpus)
+            assert [(j.count, j.elapsed_ms, j.device_index)
+                    for j in got.jobs] == [(j.count, j.elapsed_ms,
+                                            j.device_index)
+                                           for j in want.jobs]
+        # Assembly placed fresh copies: the run's own jobs are untouched.
+        assert _job_fields(run.jobs) == memo
+        assert all(j.device_index == -1 for j in run.jobs)
+
+    def test_oom_raised_by_the_partition_run(self, medium_rmat):
+        device = TESLA_C2050.with_memory(medium_rmat.num_arcs * 8 // 8)
+        with pytest.raises(OutOfDeviceMemoryError):
+            partition_run(medium_rmat, device=device, num_parts=4)
+
+    def test_invalid_args(self, k5):
+        with pytest.raises(ReproError):
+            partition_run(k5, num_parts=0)
+        with pytest.raises(ReproError):
+            partition_run(k5, num_parts=2).assemble(0)
 
 
 class TestLptAssign:

@@ -104,6 +104,58 @@ class TestUndirectedInputChecks:
             assert g.num_nodes == num_nodes > max(u + v, default=-1)
 
 
+class TestConstructorChecks:
+    """``EdgeArray(first, second)`` with ``check=True`` type- and
+    range-checks the raw ids before narrowing them to int32."""
+
+    def test_float_ids_rejected_not_truncated(self):
+        with pytest.raises(GraphFormatError, match="integers"):
+            EdgeArray([0.5, 1], [1, 0], 3)
+
+    def test_id_beyond_int32_rejected_not_wrapped(self):
+        with pytest.raises(GraphFormatError, match="int32"):
+            EdgeArray([0, 2**31], [2**31, 0])
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(GraphFormatError, match="negative vertex id -1"):
+            EdgeArray([0, -1], [-1, 0])
+
+    def test_two_dimensional_ids_rejected(self):
+        with pytest.raises(GraphFormatError, match="1-D"):
+            EdgeArray([[0, 1]], [[1, 0]])
+
+    def test_negative_num_nodes_rejected(self):
+        with pytest.raises(GraphFormatError, match="num_nodes"):
+            EdgeArray([], [], num_nodes=-1)
+
+    def test_from_aos_checks_ids(self):
+        with pytest.raises(GraphFormatError, match="integers"):
+            EdgeArray.from_aos([0.5, 1.0, 1.0, 0.5])
+
+    def test_unchecked_path_unchanged(self):
+        g = EdgeArray(np.array([0, 1]), np.array([1, 0]), num_nodes=2,
+                      check=False)
+        assert g.first.dtype == VERTEX_DTYPE and g.num_nodes == 2
+
+    _IDS = (st.lists(st.integers(-2**33, 2**33) | st.integers(-2, 12),
+                     max_size=10)
+            | st.lists(st.integers(-2, 12) | st.floats(), max_size=6))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_IDS, _IDS, st.none() | st.integers(-3, 2**33))
+    def test_fuzz_typed_error_or_valid_graph(self, first, second, num_nodes):
+        """Any input gives a GraphFormatError or a valid edge array whose
+        arcs are exactly the input's, never a raw exception."""
+        try:
+            g = EdgeArray(first, second, num_nodes=num_nodes)
+        except GraphFormatError:
+            return
+        g.validate()
+        assert g.first.tolist() == list(first)
+        assert g.second.tolist() == list(second)
+        assert g.num_nodes >= 0
+
+
 class TestLayouts:
     def test_aos_roundtrip(self, small_rmat):
         aos = small_rmat.as_aos()

@@ -10,12 +10,14 @@ time than a cache-disabled replay of the same trace.
 import pytest
 
 from repro.bench.experiments import serve_experiment
+from repro.core.distributed import distributed_count_triangles
 from repro.cpu.forward import forward_count_cpu
-from repro.errors import ReproError
+from repro.errors import OutOfDeviceMemoryError, ReproError
 from repro.gpusim.device import DEVICES
-from repro.serve import (DONE, SHED_FLEET_DEAD, Fleet, FleetScheduler,
-                         TraceConfig, build_graph_pool, generate_trace,
-                         serve_trace, size_fleet_memory)
+from repro.serve import (DONE, PATH_DISTRIBUTED, SHED_FLEET_DEAD, Fleet,
+                         FleetScheduler, TraceConfig, build_graph_pool,
+                         generate_trace, serve_trace, size_fleet_memory)
+from repro.serve.scheduler import FALLBACK_PART_LADDER
 
 CONFIG = TraceConfig(seed=7, duration_ms=12_000.0, rate_per_s=2.5)
 
@@ -152,6 +154,78 @@ class TestAcceptance:
             FleetScheduler(fleet, max_attempts=0)
         with pytest.raises(ReproError):
             FleetScheduler(fleet, backoff_ms=-1.0)
+
+
+def _ladder(graph, spec, num_gpus, options):
+    """The fallback ladder run afresh at one gang size (no memo)."""
+    for parts in FALLBACK_PART_LADDER:
+        try:
+            return distributed_count_triangles(graph, device=spec,
+                                               num_gpus=num_gpus,
+                                               num_parts=parts,
+                                               options=options)
+        except OutOfDeviceMemoryError:
+            continue
+    return None
+
+
+class _UnmemoizedSplit(FleetScheduler):
+    """Reference scheduler: every fallback attempt runs the ladder."""
+
+    def _run_distributed(self, job, spec, num_gpus):
+        return _ladder(job.graph, spec, num_gpus, job.options)
+
+
+class TestDistributedReplay:
+    """The whale is split before and after device 1 fails, so the gang
+    shrinks from 4 to 3; the split's subgraph jobs still run once."""
+
+    FAIL_AT_MS = 5_000.0      # between the whale's first and second split
+
+    def _replay(self, pool, memory, scheduler_cls):
+        fleet = Fleet.homogeneous("gtx980", 4, memory_bytes=memory)
+        fleet.inject_failure(1, self.FAIL_AT_MS)
+        scheduler = scheduler_cls(fleet)
+        return scheduler, scheduler.run(generate_trace(CONFIG, pool))
+
+    @pytest.fixture(scope="class")
+    def replay(self, pool, memory):
+        return self._replay(pool, memory, FleetScheduler)
+
+    def test_split_on_both_sides_of_the_failure(self, replay):
+        _, report = replay
+        starts = [j.start_ms for j in report.jobs
+                  if j.path == PATH_DISTRIBUTED and j.status == DONE]
+        assert min(starts) < self.FAIL_AT_MS < max(starts)
+
+    def test_each_subgraph_job_launches_once(self, replay, memory):
+        scheduler, report = replay
+        spec = DEVICES["gtx980"].with_memory(memory)
+        split = {j.fingerprint: j for j in report.jobs
+                 if j.path == PATH_DISTRIBUTED}
+        subgraph_jobs = sum(len(_ladder(j.graph, spec, 1, j.options).jobs)
+                            for j in split.values())
+        kernel_calls = report.host_profiler.breakdown()["kernel"]["calls"]
+        assert kernel_calls == len(scheduler._gpu_memo) + subgraph_jobs
+
+    def test_jobs_match_a_fresh_split_at_each_gang_size(self, replay, pool,
+                                                        memory):
+        _, report = replay
+        _, reference = self._replay(pool, memory, _UnmemoizedSplit)
+
+        def outcome(j):
+            return (j.status, j.path, j.start_ms, j.finish_ms, j.triangles)
+
+        assert ([outcome(j) for j in report.jobs]
+                == [outcome(j) for j in reference.jobs])
+        spec = DEVICES["gtx980"].with_memory(memory)
+        for j in report.jobs:
+            if j.path != PATH_DISTRIBUTED or j.status != DONE:
+                continue
+            gang = 4 if j.start_ms < self.FAIL_AT_MS else 3
+            want = _ladder(j.graph, spec, gang, j.options)
+            assert j.finish_ms == j.start_ms + want.total_ms
+            assert j.triangles == want.triangles
 
 
 class TestServeExperiment:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.core.options import GpuOptions
@@ -111,3 +112,35 @@ class TestPreprocessCache:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             PreprocessCache(budget_bytes=-1)
+
+
+_KEYS = st.sampled_from(["a", "b", "c", "d", "e"])
+_OPS = st.one_of(
+    st.tuples(st.just("insert"), _KEYS, st.integers(0, 700)),
+    st.tuples(st.just("lookup"), _KEYS),
+    st.tuples(st.just("pin"), _KEYS),
+    st.tuples(st.just("unpin"), _KEYS),
+    st.tuples(st.just("invalidate"), _KEYS),
+    st.tuples(st.just("clear")),
+)
+
+
+class TestBytesUsedCounter:
+    @settings(max_examples=200, deadline=None)
+    @given(budget=st.integers(0, 1500), ops=st.lists(_OPS, max_size=40))
+    def test_counter_equals_sum_of_entries(self, budget, ops):
+        """The running ``bytes_used`` equals the resident entries' sum
+        after every step of any insert / lookup / pin / unpin /
+        invalidate / clear sequence, and never exceeds the budget."""
+        cache = PreprocessCache(budget)
+        for t, (op, *args) in enumerate(ops):
+            if op == "insert":
+                key, nbytes = args
+                cache.insert(key, nbytes, triangles=1, hit_service_ms=1.0,
+                             now_ms=float(t))
+            elif op == "lookup":
+                cache.lookup(args[0], float(t))
+            else:
+                getattr(cache, op)(*args)
+            assert cache.bytes_used == sum(e.nbytes for e in cache.entries())
+            assert cache.bytes_used <= budget

@@ -1,13 +1,16 @@
 """Unit tests for admission control and the job queue (repro.serve.queue)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.forward_gpu import gpu_count_triangles
 from repro.core.options import GpuOptions
 from repro.graphs.generators.rmat import rmat
 from repro.gpusim.device import DEVICES
 from repro.gpusim.memory import DeviceMemory
-from repro.serve.fleet import Fleet
+from repro.errors import GraphFormatError
+from repro.serve.cache import PreprocessCache
+from repro.serve.fleet import Fleet, FleetDevice
 from repro.serve.queue import (JobQueue, ServeJob, admissible_devices,
                                estimate_working_set_bytes, fits_device)
 
@@ -86,6 +89,76 @@ class TestAdmission:
         job = ServeJob(job_id=0, graph=g)
         assert {d.index for d in admissible_devices(job, fleet, 5.0)} == {0, 1}
         assert {d.index for d in admissible_devices(job, fleet, 20.0)} == {1}
+
+
+def _reservation_probe(job, device):
+    """Reference admission test: reserve the estimate in a fresh
+    ``job_memory()`` allocator and release it."""
+    est = estimate_working_set_bytes(job.graph, job.options, device.spec)
+    memory = device.job_memory()
+    probe = memory.try_alloc("admission probe", est)
+    if probe is None:
+        return False
+    memory.free(probe)
+    return True
+
+
+_PROBE_GRAPHS = [rmat(s, seed=s) for s in (4, 5, 7)]
+_PROBE_OPTIONS = [GpuOptions(), GpuOptions(unzip=False),
+                  GpuOptions(cpu_preprocess="never")]
+
+
+class TestFitsDeviceArithmetic:
+    """``fits_device`` compares the estimate with the free bytes; it
+    must agree with the allocator reservation it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=st.sampled_from(_PROBE_GRAPHS),
+           options=st.sampled_from(_PROBE_OPTIONS),
+           delta=st.sampled_from([0, -1, 1, -256, 256])
+           | st.integers(-2**22, 2**22),
+           nonpositive=st.none() | st.integers(-2**20, 0),
+           resident=st.sampled_from([0, 256, 4096]))
+    def test_equals_reservation_probe(self, graph, options, delta,
+                                      nonpositive, resident):
+        spec = DEVICES["gtx980"]
+        job = ServeJob(job_id=0, graph=graph, options=options)
+        est = estimate_working_set_bytes(graph, options, spec)
+        free = nonpositive if nonpositive is not None else est + delta
+        cache = PreprocessCache(resident)
+        if resident:
+            cache.insert("resident", resident, triangles=0,
+                         hit_service_ms=0.0, now_ms=0.0)
+        dev = FleetDevice(index=0, key="gtx980", cache=cache,
+                          spec=spec.with_memory(free + resident))
+        assert dev.free_bytes == free
+        assert fits_device(job, dev) == _reservation_probe(job, dev)
+
+    @pytest.mark.parametrize("delta,fits", [(0, True), (-1, False)])
+    def test_boundary(self, delta, fits):
+        g = rmat(6, seed=0)
+        spec = DEVICES["gtx980"]
+        est = estimate_working_set_bytes(g, GpuOptions(), spec)
+        fleet = Fleet.from_keys(["gtx980"], memory_bytes=est + delta)
+        job = ServeJob(job_id=0, graph=g)
+        assert fits_device(job, fleet[0]) is fits
+        assert _reservation_probe(job, fleet[0]) is fits
+
+    @pytest.mark.parametrize("free", [0, -1])
+    def test_no_free_bytes_never_fits(self, free):
+        job = ServeJob(job_id=0, graph=rmat(4, seed=0))
+        dev = FleetDevice(index=0, key="gtx980", cache=PreprocessCache(0),
+                          spec=DEVICES["gtx980"].with_memory(free))
+        assert not fits_device(job, dev)
+        assert not _reservation_probe(job, dev)
+
+
+class TestJobSubmission:
+    @pytest.mark.parametrize("graph", ["x", None, [(0, 1)]],
+                             ids=["str", "none", "edge-list"])
+    def test_non_edge_array_graph_is_typed_error(self, graph):
+        with pytest.raises(GraphFormatError, match="job 1"):
+            ServeJob(1, graph)
 
 
 def _job(job_id, **kw):
