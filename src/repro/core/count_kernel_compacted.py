@@ -36,7 +36,10 @@ The memory model runs through the engine's fused fast path
 layout enables: coalescing and both cache levels are order-independent
 over the request *multiset* of a batch, so the pool never has to keep
 lanes sorted, and the engine never has to reconstruct per-request
-hit masks.
+hit masks.  The body declares the buffers it reads
+(:meth:`~repro.gpusim.simt.SimtEngine.declare_reads`, after the
+strategy's ``prepare`` so hash tables are included), which lets the
+engine count the L2 from first touches when nothing can be evicted.
 
 Equivalence is the design contract, not an aspiration: every tick
 issues the same (index, lane) multisets, in the same per-tick grouping,
@@ -257,33 +260,34 @@ def count_triangles_compacted(engine: SimtEngine,
             load_pending = True
 
     try:
-        while alive:
-            if load_pending:
-                ticks += 1
-                t0 = perf_counter() if prof is not None else 0.0
-                _setup_tick()
-                load_pending = bool((phase == _LOAD).any())
-                if prof is not None:
-                    prof.add("setup", perf_counter() - t0)
-                if n:
+        with engine.declare_reads(ctx.readable):
+            while alive:
+                if load_pending:
+                    ticks += 1
                     t0 = perf_counter() if prof is not None else 0.0
-                    _merge_tick()
+                    _setup_tick()
+                    load_pending = bool((phase == _LOAD).any())
                     if prof is not None:
-                        prof.add(strategy.step_kind, perf_counter() - t0)
-                continue
-            if not n:
-                break  # unreachable: alive warps are _LOAD or mid-step
-            # Fused stepping: no warp needs a setup block until one
-            # reconverges, so iterate the pool back to back.
-            t0 = perf_counter() if prof is not None else 0.0
-            fused = 0
-            while n and not load_pending:
-                ticks += 1
-                fused += 1
-                _merge_tick()
-            if prof is not None:
-                prof.add(strategy.step_kind, perf_counter() - t0,
-                         calls=fused)
+                        prof.add("setup", perf_counter() - t0)
+                    if n:
+                        t0 = perf_counter() if prof is not None else 0.0
+                        _merge_tick()
+                        if prof is not None:
+                            prof.add(strategy.step_kind, perf_counter() - t0)
+                    continue
+                if not n:
+                    break  # unreachable: alive warps are _LOAD or mid-step
+                # Fused stepping: no warp needs a setup block until one
+                # reconverges, so iterate the pool back to back.
+                t0 = perf_counter() if prof is not None else 0.0
+                fused = 0
+                while n and not load_pending:
+                    ticks += 1
+                    fused += 1
+                    _merge_tick()
+                if prof is not None:
+                    prof.add(strategy.step_kind, perf_counter() - t0,
+                             calls=fused)
     finally:
         strategy.finish(ctx)
 

@@ -65,6 +65,10 @@ class StrategyContext:
         else:
             self.adj = self.keys = pre.aos
         self.node = pre.node
+        #: every buffer the kernel body may read; strategies that build
+        #: device tables in ``prepare`` append them (the compacted
+        #: driver declares these to :meth:`SimtEngine.declare_reads`).
+        self.readable: list[DeviceBuffer] = [self.adj, self.keys, self.node]
         self._read: Callable[..., np.ndarray] = (
             engine.read_compacted if compacted else engine.read)
         self._ws_shift = engine.warp_size.bit_length() - 1

@@ -138,6 +138,7 @@ class HashStrategy(IntersectionStrategy):
         ctx.hash_vb = vb_buf
         ctx.hash_ptr = ptr_buf
         ctx.hash_entries = ent_buf
+        ctx.readable += [vb_buf, ptr_buf, ent_buf]
         return ctx
 
     def finish(self, ctx: StrategyContext) -> None:

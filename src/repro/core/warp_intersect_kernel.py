@@ -21,6 +21,7 @@ comparable.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,107 +109,111 @@ def warp_intersect_kernel(engine: SimtEngine,
     ticks = 0
     probes = 0
 
-    while (phase != _DONE).any():
-        ticks += 1
+    # The compacted path declares what it reads (the L2 may then run
+    # cold-fit, see SimtEngine.declare_reads); lockstep keeps the LRU.
+    with (engine.declare_reads((adj, keys, node)) if compacted
+          else nullcontext()):
+        while (phase != _DONE).any():
+            ticks += 1
 
-        # ---------------- per-edge setup (warp leader work) ----------- #
-        loading = phase == _LOAD
-        if loading.any():
-            w_ids = np.flatnonzero(loading & (cur < hi))
-            if len(w_ids):
-                leaders = w_ids * ws  # lane 0 of each warp does the loads
-                e = cur[w_ids]
-                u = read(adj, e, leaders).astype(np.int64)
-                v = read(keys, e, leaders).astype(np.int64)
-                k = len(w_ids)
-                nvals = read(
-                    node,
-                    np.concatenate([u, u + 1, v, v + 1]),
-                    np.concatenate([leaders] * 4)).astype(np.int64)
-                ulo, uhi_, vlo, vhi_ = (nvals[:k], nvals[k:2 * k],
-                                        nvals[2 * k:3 * k], nvals[3 * k:])
-                len_u = uhi_ - ulo
-                len_v = vhi_ - vlo
-                u_short = len_u <= len_v
-                short_lo[w_ids] = np.where(u_short, ulo, vlo)
-                short_hi[w_ids] = np.where(u_short, uhi_, vhi_)
-                long_lo[w_ids] = np.where(u_short, vlo, ulo)
-                long_hi[w_ids] = np.where(u_short, vhi_, uhi_)
-                chunk[w_ids] = 0
+            # ---------------- per-edge setup (warp leader work) ----------- #
+            loading = phase == _LOAD
+            if loading.any():
+                w_ids = np.flatnonzero(loading & (cur < hi))
+                if len(w_ids):
+                    leaders = w_ids * ws  # lane 0 of each warp does the loads
+                    e = cur[w_ids]
+                    u = read(adj, e, leaders).astype(np.int64)
+                    v = read(keys, e, leaders).astype(np.int64)
+                    k = len(w_ids)
+                    nvals = read(
+                        node,
+                        np.concatenate([u, u + 1, v, v + 1]),
+                        np.concatenate([leaders] * 4)).astype(np.int64)
+                    ulo, uhi_, vlo, vhi_ = (nvals[:k], nvals[k:2 * k],
+                                            nvals[2 * k:3 * k], nvals[3 * k:])
+                    len_u = uhi_ - ulo
+                    len_v = vhi_ - vlo
+                    u_short = len_u <= len_v
+                    short_lo[w_ids] = np.where(u_short, ulo, vlo)
+                    short_hi[w_ids] = np.where(u_short, uhi_, vhi_)
+                    long_lo[w_ids] = np.where(u_short, vlo, ulo)
+                    long_hi[w_ids] = np.where(u_short, vhi_, uhi_)
+                    chunk[w_ids] = 0
+                    if compacted:
+                        # One leader lane per distinct warp — counts known.
+                        engine.end_step_warps("setup", w_ids,
+                                              np.ones(k, np.int64),
+                                              SETUP_INSTRUCTIONS)
+                    else:
+                        engine.end_step("setup", leaders, SETUP_INSTRUCTIONS)
+                has_edge = loading & (cur < hi)
+                phase[has_edge] = _CHUNK
+                phase[loading & ~has_edge] = _DONE
+                # Degenerate edges (an empty side) go straight to the next.
+                empty = has_edge & ((short_hi - short_lo <= 0) |
+                                    (long_hi - long_lo <= 0))
+                if empty.any():
+                    cur[empty] += W
+                    phase[empty] = _LOAD
+
+            # ---------------- one chunk: gather + parallel searches ------- #
+            chunking = phase == _CHUNK
+            if chunking.any():
+                w_ids = np.flatnonzero(chunking)
+                base = short_lo[w_ids] + chunk[w_ids] * ws
+                # Lanes with an element in this chunk.
+                lanes_2d = (w_ids[:, None] * ws + np.arange(ws)[None, :])
+                elem_idx = base[:, None] + np.arange(ws)[None, :]
+                valid = elem_idx < short_hi[w_ids][:, None]
+                lanes = lanes_2d[valid]
+                idx = elem_idx[valid]
+                targets = read(adj, idx, lanes).astype(np.int64)
                 if compacted:
-                    # One leader lane per distinct warp — counts known.
-                    engine.end_step_warps("setup", w_ids,
-                                          np.ones(k, np.int64),
-                                          SETUP_INSTRUCTIONS)
+                    # Every chunking warp has >= 1 valid lane (exhausted
+                    # warps left _CHUNK), so ``w_ids`` are the warps.
+                    engine.end_step_warps("chunk", w_ids,
+                                          valid.sum(axis=1),
+                                          CHUNK_INSTRUCTIONS)
                 else:
-                    engine.end_step("setup", leaders, SETUP_INSTRUCTIONS)
-            has_edge = loading & (cur < hi)
-            phase[has_edge] = _CHUNK
-            phase[loading & ~has_edge] = _DONE
-            # Degenerate edges (an empty side) go straight to the next.
-            empty = has_edge & ((short_hi - short_lo <= 0) |
-                                (long_hi - long_lo <= 0))
-            if empty.any():
-                cur[empty] += W
-                phase[empty] = _LOAD
+                    engine.end_step("chunk", lanes, CHUNK_INSTRUCTIONS)
 
-        # ---------------- one chunk: gather + parallel searches ------- #
-        chunking = phase == _CHUNK
-        if chunking.any():
-            w_ids = np.flatnonzero(chunking)
-            base = short_lo[w_ids] + chunk[w_ids] * ws
-            # Lanes with an element in this chunk.
-            lanes_2d = (w_ids[:, None] * ws + np.arange(ws)[None, :])
-            elem_idx = base[:, None] + np.arange(ws)[None, :]
-            valid = elem_idx < short_hi[w_ids][:, None]
-            lanes = lanes_2d[valid]
-            idx = elem_idx[valid]
-            targets = read(adj, idx, lanes).astype(np.int64)
-            if compacted:
-                # Every chunking warp has >= 1 valid lane (exhausted
-                # warps left _CHUNK), so ``w_ids`` are the warps.
-                engine.end_step_warps("chunk", w_ids,
-                                      valid.sum(axis=1),
-                                      CHUNK_INSTRUCTIONS)
-            else:
-                engine.end_step("chunk", lanes, CHUNK_INSTRUCTIONS)
+                # Vectorized per-lane binary search in the longer list —
+                # the same lower-bound rounds as the binary_search
+                # intersection strategy (one shared kernel, one trace).
+                s_lo = long_lo[warp_of[lanes]].copy()
+                s_hi = long_hi[warp_of[lanes]].copy()
 
-            # Vectorized per-lane binary search in the longer list —
-            # the same lower-bound rounds as the binary_search
-            # intersection strategy (one shared kernel, one trace).
-            s_lo = long_lo[warp_of[lanes]].copy()
-            s_hi = long_hi[warp_of[lanes]].copy()
+                def read_adj(indices: np.ndarray,
+                             req_lanes: np.ndarray) -> np.ndarray:
+                    return read(adj, indices, req_lanes)
 
-            def read_adj(indices: np.ndarray,
-                         req_lanes: np.ndarray) -> np.ndarray:
-                return read(adj, indices, req_lanes)
+                while True:
+                    act = lower_bound_round(read_adj, s_lo, s_hi, targets,
+                                            lanes)
+                    if not len(act):
+                        break
+                    probes += len(act)
+                    engine.end_step("search", lanes[act], SEARCH_INSTRUCTIONS)
+                # Found iff the insertion point holds the target.
+                in_range = s_lo < long_hi[warp_of[lanes]]
+                found = np.zeros(len(lanes), bool)
+                if in_range.any():
+                    probe_idx = s_lo[in_range]
+                    vals = read(adj, probe_idx, lanes[in_range])
+                    found[in_range] = vals.astype(np.int64) == targets[in_range]
+                    probes += int(in_range.sum())
+                    engine.end_step("search", lanes[in_range],
+                                    SEARCH_INSTRUCTIONS)
+                np.add.at(count, lanes[found], np.uint64(1))
 
-            while True:
-                act = lower_bound_round(read_adj, s_lo, s_hi, targets,
-                                        lanes)
-                if not len(act):
-                    break
-                probes += len(act)
-                engine.end_step("search", lanes[act], SEARCH_INSTRUCTIONS)
-            # Found iff the insertion point holds the target.
-            in_range = s_lo < long_hi[warp_of[lanes]]
-            found = np.zeros(len(lanes), bool)
-            if in_range.any():
-                probe_idx = s_lo[in_range]
-                vals = read(adj, probe_idx, lanes[in_range])
-                found[in_range] = vals.astype(np.int64) == targets[in_range]
-                probes += int(in_range.sum())
-                engine.end_step("search", lanes[in_range],
-                                SEARCH_INSTRUCTIONS)
-            np.add.at(count, lanes[found], np.uint64(1))
-
-            # Advance: next chunk, or next edge when the list is done.
-            chunk[w_ids] += 1
-            exhausted = (short_lo[w_ids] + chunk[w_ids] * ws
-                         >= short_hi[w_ids])
-            done_w = w_ids[exhausted]
-            cur[done_w] += W
-            phase[done_w] = _LOAD
+                # Advance: next chunk, or next edge when the list is done.
+                chunk[w_ids] += 1
+                exhausted = (short_lo[w_ids] + chunk[w_ids] * ws
+                             >= short_hi[w_ids])
+                done_w = w_ids[exhausted]
+                cur[done_w] += W
+                phase[done_w] = _LOAD
 
     triangles = int(count.sum())
     if result_buf is not None:

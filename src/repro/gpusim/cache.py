@@ -416,3 +416,129 @@ class CacheArray:
     def __repr__(self) -> str:
         return (f"CacheArray(instances={self.num_instances}, sets={self.sets}, "
                 f"ways={self.ways}, line={self.line_bytes}B)")
+
+
+class FirstTouchL2:
+    """Exact stand-in for a one-instance :class:`CacheArray` that cannot
+    evict: the cold-fit L2.
+
+    If every line a launch can read lies in one span of at most
+    ``sets × ways`` consecutive lines, no set ever holds more than
+    ``ways`` distinct lines.  Empty ways carry stamp 0, so a miss always
+    lands in an empty way and nothing is evicted: a probe hits iff its
+    line was fetched before, whatever the recency order.  The engine
+    then skips the tag/stamp probe and hands each L2 batch's requested
+    lines (duplicates included) to :meth:`record`, which keeps two
+    per-line batch numbers: ``first`` (first touch; 0 = never) and
+    ``last`` (last touch).  The misses are the lines first touched
+    here, the hits every other request.
+
+    :meth:`fold` writes back exactly what :meth:`CacheArray.probe_unique`
+    would have left: each new line in the set's next empty way (ways
+    fill in first-touch order, same-batch lines by ascending line), and
+    stamps that order the lines as the LRU clock would — a line last
+    touched as a hit gets its batch's shared stamp, one last touched by
+    its own miss the batch stamp plus one plus its rank among that
+    set's misses in the batch.  Stamps are renumbered above the
+    cache's clock, so only their order, the only thing the LRU reads,
+    matches.
+    """
+
+    #: ``first`` mark of lines already resident when the span engaged.
+    _PRE = 1
+
+    def __init__(self, cache: CacheArray, lo_line: int, hi_line: int,
+                 resident: np.ndarray):
+        self.cache = cache
+        self.lo = lo_line
+        n = hi_line - lo_line + 1
+        self.first = np.zeros(n, np.int32)
+        self.last = np.zeros(n, np.int32)
+        self.first[resident - lo_line] = self._PRE
+        self.batch = self._PRE
+        #: L2 requests recorded (every line handed in, duplicates too).
+        self.requests = 0
+
+    @classmethod
+    def engage(cls, cache: CacheArray, lo_line: int,
+               hi_line: int) -> "FirstTouchL2 | None":
+        """The cold-fit stand-in for reads confined to lines
+        ``[lo_line, hi_line]``, or None when it would not be exact.
+
+        Exact iff the span fits ``sets × ways`` lines and the cache has
+        only ever taken compulsory misses inside it: nothing evicted
+        yet (every miss still resident) and every resident line in the
+        span.  A cache with no requests yet is trivially such a cache.
+        """
+        if (cache.num_instances != 1
+                or hi_line - lo_line + 1 > cache.sets * cache.ways):
+            return None
+        tags = cache._tags
+        resident = tags[tags >= 0].astype(np.int64)
+        if len(resident) and (len(resident) != cache.stats.misses
+                              or int(resident.min()) < lo_line
+                              or int(resident.max()) > hi_line):
+            return None
+        return cls(cache, lo_line, hi_line, resident)
+
+    def record(self, lines: np.ndarray) -> None:
+        """One L2 batch: ``lines`` holds one entry per request."""
+        # intp offsets: NumPy converts narrower fancy indices per use.
+        rel = np.subtract(lines, self.lo, dtype=np.intp)
+        self.batch += 1
+        first = self.first
+        first[rel[first[rel] == 0]] = self.batch
+        self.last[rel] = self.batch
+        self.requests += len(rel)
+
+    def record_one(self, line: int) -> None:
+        """:meth:`record` of a one-request batch."""
+        rel = line - self.lo
+        self.batch += 1
+        if not self.first[rel]:
+            self.first[rel] = self.batch
+        self.last[rel] = self.batch
+        self.requests += 1
+
+    def fold(self) -> tuple[int, int]:
+        """Write the LRU state back into the cache, add the recorded
+        hits and misses to its stats, and return ``(hits, misses)``."""
+        c = self.cache
+        first, last = self.first, self.last
+        new = np.flatnonzero(first > self._PRE)
+        misses = len(new)
+        hits = self.requests - misses
+        c.stats.hits += hits
+        c.stats.misses += misses
+        if not self.requests:
+            return hits, misses
+        ways = c.ways
+        span = ways + 1       # batch stride of the stamp key
+        clock = c._clock
+        if misses:
+            lines = new + self.lo
+            c._ensure_tag_range(int(lines[-1]))
+            sets = lines % c.sets
+            f = first[new]
+            order = np.lexsort((lines, f, sets))
+            lines, sets, f = lines[order], sets[order], f[order]
+            idx = np.arange(misses)
+            set_start = np.maximum.accumulate(
+                np.where(boundary_mask(sets), idx, 0))
+            batch_start = np.maximum.accumulate(
+                np.where(boundary_mask(sets, f), idx, 0))
+            occupied = np.count_nonzero(c._tags[sets] >= 0, axis=1)
+            way = occupied + (idx - set_start)
+            c._tags[sets, way] = lines
+            lst = last[lines - self.lo]
+            rank = idx - batch_start
+            key = lst.astype(np.int64) * span + np.where(lst == f, 1 + rank, 0)
+            c._stamp[sets, way] = clock + key
+        old = np.flatnonzero((first == self._PRE) & (last > 0))
+        if len(old):
+            lines = old + self.lo
+            sets = lines % c.sets
+            way = np.argmax(c._tags[sets] == lines[:, None], axis=1)
+            c._stamp[sets, way] = clock + last[old].astype(np.int64) * span
+        c._clock = clock + (self.batch + 1) * span
+        return hits, misses

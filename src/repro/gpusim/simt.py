@@ -23,13 +23,15 @@ data while it counts.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.errors import InvalidLaunchError, KernelFault
-from repro.gpusim.cache import CacheArray
+from repro.errors import InvalidLaunchError, KernelFault, ReproError
+from repro.gpusim.cache import CacheArray, FirstTouchL2
 from repro.gpusim.coalesce import coalesce
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.hostprof import current_host_profiler
@@ -252,6 +254,10 @@ class SimtEngine:
         # whether the coalescing sort may run on int32 (half the
         # bandwidth of the int64 build; NumPy sorts scale with width).
         self._smw_max = int(self._smw.max()) if self.num_warps else 0
+        #: buffers a compacted body declared readable (id -> buffer) and
+        #: the cold-fit L2 stand-in, while :meth:`declare_reads` is open.
+        self._readable: dict[int, DeviceBuffer] | None = None
+        self._first_touch: FirstTouchL2 | None = None
         #: ambient host profiler (see :mod:`repro.gpusim.hostprof`);
         #: ``None`` keeps the hot paths hook-free.
         self.host_profiler = current_host_profiler()
@@ -259,6 +265,49 @@ class SimtEngine:
     # ------------------------------------------------------------------ #
     # memory
     # ------------------------------------------------------------------ #
+
+    @contextmanager
+    def declare_reads(self, buffers: Iterable[DeviceBuffer]
+                      ) -> Iterator[bool]:
+        """Scope a compacted kernel body to the buffers it can read.
+
+        Inside the scope :meth:`read_compacted` raises on any other
+        buffer; the lockstep :meth:`read` is the full-LRU oracle and
+        must not be used inside it.  When the declared buffers lie in
+        one span of at most ``l2.sets × l2.ways`` lines and the L2 has
+        only taken compulsory misses inside it, the L2 cannot evict:
+        its probes go to a :class:`~repro.gpusim.cache.FirstTouchL2`,
+        and the L2 counters, stats and tag state are folded in when the
+        scope closes, exactly as the LRU probes would have left them.
+        Yields whether that cold-fit path is engaged.
+        """
+        if self._readable is not None:
+            raise ReproError("declare_reads scopes do not nest")
+        readable = {id(b): b for b in buffers}
+        spans = [(self._l2_line(b.device_addr),
+                  self._l2_line(b.device_addr + b.nbytes - 1))
+                 for b in readable.values() if b.nbytes]
+        ft = (FirstTouchL2.engage(self.l2, min(s[0] for s in spans),
+                                  max(s[1] for s in spans))
+              if spans else None)
+        self._readable = readable
+        self._first_touch = ft
+        try:
+            yield ft is not None
+        finally:
+            self._readable = None
+            self._first_touch = None
+            if ft is not None:
+                # Once per launch and outside the tick sections, so it is
+                # not a "cache-model" call of the host profile.
+                hits, misses = ft.fold()
+                fill = (self.device.line_bytes if self.l1 is not None
+                        else self.device.sector_bytes)
+                rep = self.report
+                rep.l2_hits += hits
+                rep.l2_misses += misses
+                rep.l2_bytes += ft.requests * fill
+                rep.dram_bytes += misses * fill
 
     def read(self, buf: DeviceBuffer, indices: np.ndarray,
              thread_ids: np.ndarray) -> np.ndarray:
@@ -321,6 +370,10 @@ class SimtEngine:
         caller may present lanes in any order — which is what lets the
         compacted kernels keep their registers in worklist order.
         """
+        if self._readable is not None and id(buf) not in self._readable:
+            raise ReproError(
+                f"read from {buf.name!r}, which the kernel body did not "
+                "declare readable (SimtEngine.declare_reads)")
         indices = np.asarray(indices)
         n = len(indices)
         if n == 0:
@@ -396,7 +449,9 @@ class SimtEngine:
             rep.l1_hits += n_hit
             n_miss = n_trans - n_hit
             rep.l1_misses += n_miss
-            if n_miss:
+            if n_miss and self._first_touch is not None:
+                self._first_touch.record(u_line[~hit])
+            elif n_miss:
                 # L2 on the missing lines; distinct SMs missing one
                 # line fill it once (the extras count as hits).
                 ml = u_line[~hit]
@@ -439,58 +494,62 @@ class SimtEngine:
                 l2_line = su >> (self._line_shift - self._sector_shift)
             else:
                 l2_line = su * sb // self.device.line_bytes
-            ul = l2_line[boundary_mask(l2_line)]
-            n_uniq2 = len(ul)
-            l2 = self.l2
-            l2_set = (ul & (l2.sets - 1)
-                      if self._l2_set_shift is not None
-                      else ul % l2.sets)
-            hit2 = l2.probe_unique(l2_set, ul,
-                                   extra_hits=n_trans - n_uniq2)
-            n_hit2 = (n_trans - n_uniq2) + int(np.count_nonzero(hit2))
-            rep.l2_hits += n_hit2
-            rep.l2_misses += n_trans - n_hit2
-            rep.l2_bytes += n_trans * sb
-            rep.dram_bytes += (n_trans - n_hit2) * sb
+            if self._first_touch is not None:
+                self._first_touch.record(l2_line)
+            else:
+                ul = l2_line[boundary_mask(l2_line)]
+                n_uniq2 = len(ul)
+                l2 = self.l2
+                l2_set = (ul & (l2.sets - 1)
+                          if self._l2_set_shift is not None
+                          else ul % l2.sets)
+                hit2 = l2.probe_unique(l2_set, ul,
+                                       extra_hits=n_trans - n_uniq2)
+                n_hit2 = (n_trans - n_uniq2) + int(np.count_nonzero(hit2))
+                rep.l2_hits += n_hit2
+                rep.l2_misses += n_trans - n_hit2
+                rep.l2_bytes += n_trans * sb
+                rep.dram_bytes += (n_trans - n_hit2) * sb
         if prof is not None:
             prof.add("cache-model", perf_counter() - t0)
         return values
+
+    def _l2_line(self, addr: int) -> int:
+        """The L2 line a read of byte ``addr`` probes: the L1 miss's
+        line, or on the sector path the line of the sector's start."""
+        if self.l1 is not None:
+            return addr // self.device.line_bytes
+        sb = self.device.sector_bytes
+        return addr // sb * sb // self.device.line_bytes
 
     def _read_one(self, buf: DeviceBuffer, index: int, thread_id: int) -> None:
         """Memory-model bookkeeping of a single-lane read (scalar path of
         :meth:`read_compacted` — same counters, same cache evolution)."""
         rep = self.report
         rep.transactions += 1
-        addr = buf.device_addr + index * buf.itemsize
-        l2 = self.l2
+        line = self._l2_line(buf.device_addr + index * buf.itemsize)
+        arr = np.array([line], dtype=np.int64)
         if self.l1 is not None:
-            lb = self.device.line_bytes
-            line = addr // lb
+            fill = self.device.line_bytes
             sm = int(self.warp_sm[thread_id // self.warp_size])
             l1 = self.l1
-            arr = np.array([line], dtype=np.int64)
             if l1.probe_unique(np.array([line % l1.sets + sm * l1.sets]),
                                arr)[0]:
                 rep.l1_hits += 1
                 return
             rep.l1_misses += 1
-            if l2.probe_unique(np.array([line % l2.sets]), arr)[0]:
-                rep.l2_hits += 1
-            else:
-                rep.l2_misses += 1
-                rep.dram_bytes += lb
-            rep.l2_bytes += lb
         else:
-            sb = self.device.sector_bytes
-            sector = addr // sb
-            line = sector * sb // self.device.line_bytes
-            if l2.probe_unique(np.array([line % l2.sets]),
-                               np.array([line], dtype=np.int64))[0]:
-                rep.l2_hits += 1
-            else:
-                rep.l2_misses += 1
-                rep.dram_bytes += sb
-            rep.l2_bytes += sb
+            fill = self.device.sector_bytes
+        if self._first_touch is not None:
+            self._first_touch.record_one(line)
+            return
+        l2 = self.l2
+        if l2.probe_unique(np.array([line % l2.sets]), arr)[0]:
+            rep.l2_hits += 1
+        else:
+            rep.l2_misses += 1
+            rep.dram_bytes += fill
+        rep.l2_bytes += fill
 
     def _probe_l2(self, line_addrs: np.ndarray, fill_bytes: int) -> None:
         zeros = np.zeros(len(line_addrs), dtype=np.int64)

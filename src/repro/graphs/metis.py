@@ -32,7 +32,15 @@ def write_metis(graph: EdgeArray, path: str | os.PathLike) -> None:
 
 
 def read_metis(path: str | os.PathLike) -> EdgeArray:
-    """Read an unweighted METIS file into an edge array."""
+    """Read an unweighted METIS file into an edge array.
+
+    Raises
+    ------
+    GraphFormatError
+        Naming the file, for a missing or non-integer header, a weighted
+        format, a non-integer or out-of-range neighbor id, or vertex and
+        edge counts that differ from the header's.
+    """
     with open(path) as fh:
         header = None
         while header is None:
@@ -46,8 +54,16 @@ def read_metis(path: str | os.PathLike) -> EdgeArray:
         if len(parts) < 2:
             raise GraphFormatError(
                 f"{path}: METIS header needs >= 2 fields, got {header!r}")
-        num_nodes = int(parts[0])
-        num_edges = int(parts[1])
+        try:
+            num_nodes = int(parts[0])
+            num_edges = int(parts[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"{path}: METIS header counts must be integers, got "
+                f"{header!r}") from None
+        if num_nodes < 0 or num_edges < 0:
+            raise GraphFormatError(
+                f"{path}: negative count in METIS header {header!r}")
         if len(parts) >= 3 and parts[2] not in ("0", "00", "000"):
             raise GraphFormatError(
                 f"{path}: weighted METIS (fmt={parts[2]}) not supported")
@@ -65,7 +81,12 @@ def read_metis(path: str | os.PathLike) -> EdgeArray:
                         f"{path}: more adjacency lines than {num_nodes} nodes")
                 continue
             if stripped:
-                neigh = np.array(stripped.split(), dtype=np.int64)
+                try:
+                    neigh = np.array(stripped.split(), dtype=np.int64)
+                except (ValueError, OverflowError):
+                    raise GraphFormatError(
+                        f"{path}: non-integer neighbor id on line for "
+                        f"vertex {v + 1}") from None
                 if neigh.min(initial=1) < 1 or neigh.max(initial=1) > num_nodes:
                     raise GraphFormatError(
                         f"{path}: neighbor id out of range on line for "
@@ -79,10 +100,11 @@ def read_metis(path: str | os.PathLike) -> EdgeArray:
                 f"found {v} adjacency lines")
 
     if not sources:
-        return EdgeArray.empty(num_nodes)
-    graph = EdgeArray.from_undirected(np.concatenate(sources),
-                                      np.concatenate(targets),
-                                      num_nodes=num_nodes)
+        graph = EdgeArray.empty(num_nodes)
+    else:
+        graph = EdgeArray.from_undirected(np.concatenate(sources),
+                                          np.concatenate(targets),
+                                          num_nodes=num_nodes)
     if graph.num_edges != num_edges:
         raise GraphFormatError(
             f"{path}: header promises {num_edges} edges, adjacency lines "

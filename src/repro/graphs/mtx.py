@@ -38,6 +38,14 @@ def read_mtx(path: str | os.PathLike) -> EdgeArray:
     Accepts pattern/integer/real coordinate matrices, symmetric or
     general; weights and the diagonal are dropped, duplicate entries and
     both-orientation listings collapse.
+
+    Raises
+    ------
+    GraphFormatError
+        Naming the file, for any malformed banner, size line or entry:
+        sizes must be non-negative integers, entries hold exactly the
+        value type's columns, and indices must be integers in
+        ``[1, rows]`` (``1.5`` is an error, not index 1).
     """
     with open(path) as fh:
         header = fh.readline()
@@ -62,24 +70,40 @@ def read_mtx(path: str | os.PathLike) -> EdgeArray:
             if stripped and not stripped.startswith("%"):
                 size_line = stripped
         parts = size_line.split()
-        if len(parts) != 3:
+        try:
+            rows, cols, nnz = (int(p) for p in parts)
+        except ValueError:
             raise GraphFormatError(
-                f"{path}: size line must be 'rows cols nnz', got "
-                f"{size_line!r}")
-        rows, cols, nnz = map(int, parts)
+                f"{path}: size line must be 'rows cols nnz' (three "
+                f"integers), got {size_line!r}") from None
+        if min(rows, cols, nnz) < 0:
+            raise GraphFormatError(
+                f"{path}: negative size in size line {size_line!r}")
         if rows != cols:
             raise GraphFormatError(
                 f"{path}: adjacency matrices must be square, got "
                 f"{rows}x{cols}")
 
-        data = np.loadtxt(fh, comments="%", ndmin=2)
-    if data.size == 0:
-        return EdgeArray.empty(rows)
-    if data.shape[0] != nnz:
+        try:
+            data = np.loadtxt(fh, comments="%", ndmin=2)
+        except ValueError as exc:
+            raise GraphFormatError(f"{path}: malformed entry: {exc}") from exc
+    found = data.shape[0] if data.size else 0
+    if found != nnz:
         raise GraphFormatError(
-            f"{path}: header promises {nnz} entries, found {data.shape[0]}")
-    u = data[:, 0].astype(np.int64) - 1
-    v = data[:, 1].astype(np.int64) - 1
-    if u.min() < 0 or v.min() < 0 or u.max() >= rows or v.max() >= rows:
+            f"{path}: header promises {nnz} entries, found {found}")
+    if not nnz:
+        return EdgeArray.empty(rows)
+    columns = 2 if value_type == "pattern" else 3
+    if data.shape[1] != columns:
+        raise GraphFormatError(
+            f"{path}: {value_type} entries have {columns} columns, found "
+            f"{data.shape[1]}")
+    index = data[:, :2]
+    if not (np.isfinite(index).all() and (index == np.floor(index)).all()):
+        raise GraphFormatError(f"{path}: non-integer entry index")
+    if index.min() < 1 or index.max() > rows:
         raise GraphFormatError(f"{path}: entry index out of range")
+    u = index[:, 0].astype(np.int64) - 1
+    v = index[:, 1].astype(np.int64) - 1
     return EdgeArray.from_undirected(u, v, num_nodes=rows)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import inf
 
 import numpy as np
@@ -68,6 +69,21 @@ def estimate_working_set_bytes(graph: EdgeArray,
                                device: DeviceSpec) -> int:
     """Upper bound on the peak device allocation of one counting job.
 
+    Memoised on what it reads — the graph's arc and node counts, the
+    options and the device spec — because admission asks it again for
+    every probe of every queued job (17,894 times in one serve-overload
+    trace) while a trace holds only a few dozen distinct graphs.
+    """
+    return _working_set_bytes(graph.num_arcs, graph.num_nodes, options,
+                              device)
+
+
+@lru_cache(maxsize=4096)
+def _working_set_bytes(m: int, n: int, options: GpuOptions,
+                       device: DeviceSpec) -> int:
+    """:func:`estimate_working_set_bytes` of a graph with ``m`` arcs
+    and ``n`` nodes.
+
     Follows the pipeline's allocation order: the per-thread result
     buffer lives for the whole run; during preprocessing the peak is the
     packed edge array plus the larger of (sort scratch, full node array,
@@ -76,8 +92,6 @@ def estimate_working_set_bytes(graph: EdgeArray,
     OOM and the pipeline degrades to the halved working set instead of
     failing, so admission only has to guarantee *that* path fits.
     """
-    m = graph.num_arcs
-    n = graph.num_nodes
     m_fwd = m // 2
     result = aligned_nbytes(_COUNT * options.launch.total_threads(device))
     if options.cpu_preprocess == "never":

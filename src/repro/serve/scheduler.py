@@ -220,7 +220,8 @@ class FleetScheduler:
                      report: ServeReport) -> None:
         """Start every job that can start at simulated time ``t``."""
         while True:
-            idle = [d for d in self.fleet.healthy(t) if d.busy_until_ms <= t]
+            healthy = self.fleet.healthy(t)
+            idle = [d for d in healthy if d.busy_until_ms <= t]
             if not idle:
                 return
             job = queue.pop(t)
@@ -233,7 +234,9 @@ class FleetScheduler:
                        else self._pick_device(eligible))
                 self._attempt_gpu(job, dev, t, queue, report)
                 continue
-            if any(fits_device(job, d) for d in self.fleet.healthy(t)):
+            # No idle device fits; only the busy ones are left to ask.
+            if any(fits_device(job, d) for d in healthy
+                   if d.busy_until_ms > t):
                 # Fits a busy device — hold the queue head until it frees
                 # (strict priority: no backfill past a blocked head).
                 queue.push(job)

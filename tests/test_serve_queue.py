@@ -11,7 +11,8 @@ from repro.gpusim.memory import DeviceMemory
 from repro.errors import GraphFormatError
 from repro.serve.cache import PreprocessCache
 from repro.serve.fleet import Fleet, FleetDevice
-from repro.serve.queue import (JobQueue, ServeJob, admissible_devices,
+from repro.serve.queue import (JobQueue, ServeJob, _working_set_bytes,
+                               admissible_devices,
                                estimate_working_set_bytes, fits_device)
 
 
@@ -151,6 +152,32 @@ class TestFitsDeviceArithmetic:
                           spec=DEVICES["gtx980"].with_memory(free))
         assert not fits_device(job, dev)
         assert not _reservation_probe(job, dev)
+
+
+class TestWorkingSetMemo:
+    """Admission asks for the same estimate over and over; it is
+    computed once per (arc count, node count, options, device spec)."""
+
+    def test_repeat_probes_compute_once(self):
+        _working_set_bytes.cache_clear()
+        fleet = Fleet.from_keys(["gtx980", "gtx980", "c2050"])
+        jobs = [ServeJob(job_id=i, graph=rmat(6, seed=0)) for i in range(5)]
+        for _ in range(3):
+            for job in jobs:
+                for dev in fleet:
+                    fits_device(job, dev)
+        # Two distinct specs, one graph size, one options value.
+        assert _working_set_bytes.cache_info().misses == 2
+        assert _working_set_bytes.cache_info().hits == 5 * 3 * 3 - 2
+
+    @pytest.mark.parametrize("opts", _PROBE_OPTIONS)
+    @pytest.mark.parametrize("graph", _PROBE_GRAPHS)
+    def test_memo_equals_fresh_computation(self, graph, opts):
+        spec = DEVICES["gtx980"]
+        fresh = _working_set_bytes.__wrapped__(graph.num_arcs,
+                                               graph.num_nodes, opts, spec)
+        assert estimate_working_set_bytes(graph, opts, spec) == fresh
+        assert estimate_working_set_bytes(graph, opts, spec) == fresh
 
 
 class TestJobSubmission:
